@@ -92,7 +92,7 @@ TrialResult run_fault_trial(const TrialSpec& spec) {
 }
 
 TrialResult finish_fault_trial(const TrialSpec& spec, soc::Soc& soc) {
-  soc::SocDesc d = soc.desc();
+  const soc::SocDesc& d = soc.desc();
   sim::Simulator& s = soc.sim();
   axi::TrafficGenerator& gen =
       soc.get<axi::TrafficGenerator>(d.managers.front().name);

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <string>
@@ -29,6 +31,42 @@
 /// payload all abort through fail() with a named error.
 namespace sim {
 
+/// Little-endian fixed-width integer codec (the byte order of every
+/// integer in the snapshot format).
+template <typename U>
+  requires std::is_unsigned_v<U>
+inline void put_le(unsigned char* p, U x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &x, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      p[i] = static_cast<unsigned char>(x >> (8 * i));
+    }
+  }
+}
+
+template <typename U>
+  requires std::is_unsigned_v<U>
+inline U get_le(const unsigned char* p) {
+  U x = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&x, p, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) x |= U(p[i]) << (8 * i);
+  }
+  return x;
+}
+
+/// Unsigned integer types (bool excluded: it travels as a validated
+/// 0/1 byte). Arrays of these move as one StateVisitor::uints() run.
+template <typename T>
+concept UintElement = std::is_unsigned_v<T> && !std::is_same_v<T, bool>;
+
+/// The state codec. A saving visitor appends to a buffer it owns; a
+/// loading visitor reads through a bounded [cur, end) cursor over a
+/// caller-owned payload. Every primitive is an inline bounds check plus
+/// a little-endian copy; only fail() — the error path — is virtual, so
+/// the owner decides how an aborted walk is reported.
 class StateVisitor {
  public:
   virtual ~StateVisitor() = default;
@@ -42,53 +80,10 @@ class StateVisitor {
   /// never reach a fail() call for in-contract state).
   [[noreturn]] virtual void fail(const std::string& msg) = 0;
 
-  void u64(std::uint64_t& x) {
-    unsigned char b[8];
-    if (saving_) {
-      for (int i = 0; i < 8; ++i) {
-        b[i] = static_cast<unsigned char>(x >> (8 * i));
-      }
-    }
-    bytes(b, 8);
-    if (!saving_) {
-      x = 0;
-      for (int i = 0; i < 8; ++i) x |= std::uint64_t{b[i]} << (8 * i);
-    }
-  }
-
-  void u32(std::uint32_t& x) {
-    unsigned char b[4];
-    if (saving_) {
-      for (int i = 0; i < 4; ++i) {
-        b[i] = static_cast<unsigned char>(x >> (8 * i));
-      }
-    }
-    bytes(b, 4);
-    if (!saving_) {
-      x = 0;
-      for (int i = 0; i < 4; ++i) x |= std::uint32_t{b[i]} << (8 * i);
-    }
-  }
-
-  void u16(std::uint16_t& x) {
-    unsigned char b[2];
-    if (saving_) {
-      b[0] = static_cast<unsigned char>(x);
-      b[1] = static_cast<unsigned char>(x >> 8);
-    }
-    bytes(b, 2);
-    if (!saving_) {
-      x = static_cast<std::uint16_t>(std::uint16_t{b[0]} |
-                                     (std::uint16_t{b[1]} << 8));
-    }
-  }
-
-  void u8(std::uint8_t& x) {
-    unsigned char b[1];
-    if (saving_) b[0] = x;
-    bytes(b, 1);
-    if (!saving_) x = b[0];
-  }
+  void u64(std::uint64_t& x) { fixed(x); }
+  void u32(std::uint32_t& x) { fixed(x); }
+  void u16(std::uint16_t& x) { fixed(x); }
+  void u8(std::uint8_t& x) { fixed(x); }
 
   void boolean(bool& x) {
     std::uint8_t v = x ? 1 : 0;
@@ -101,13 +96,9 @@ class StateVisitor {
 
   /// IEEE-754 bit pattern (bit-exact round-trip, NaN payloads included).
   void f64(double& x) {
-    std::uint64_t bits = 0;
-    if (saving_) {
-      static_assert(sizeof(double) == sizeof(std::uint64_t));
-      __builtin_memcpy(&bits, &x, sizeof(bits));
-    }
+    auto bits = std::bit_cast<std::uint64_t>(x);
     u64(bits);
-    if (!saving_) __builtin_memcpy(&x, &bits, sizeof(bits));
+    if (!saving_) x = std::bit_cast<double>(bits);
   }
 
   /// Container element count: on load, bounded by the remaining payload
@@ -115,21 +106,14 @@ class StateVisitor {
   /// never drive an allocation the payload couldn't back.
   void count(std::uint64_t& n) {
     u64(n);
-    if (!saving_ && n > remaining()) {
-      fail("container count " + std::to_string(n) +
-           " exceeds the remaining payload (" + std::to_string(remaining()) +
-           " bytes)");
-    }
+    if (!saving_ && n > remaining()) count_overrun(n);
   }
 
   void str(std::string& s) {
     std::uint64_t n = s.size();
     count(n);
     if (!saving_) s.assign(static_cast<std::size_t>(n), '\0');
-    if (n != 0) {
-      bytes(reinterpret_cast<unsigned char*>(s.data()),
-            static_cast<std::size_t>(n));
-    }
+    raw(s.data(), static_cast<std::size_t>(n));
   }
 
   /// Wire scheduling identity (sim/sched/trace.hpp slot encoding). Slots
@@ -156,22 +140,90 @@ class StateVisitor {
   /// Bulk byte-array transfer (memory pages, blob payloads). The caller
   /// owns layout determinism; n must be the same on save and load.
   void raw(void* p, std::size_t n) {
-    bytes(static_cast<unsigned char*>(p), n);
+    if (n == 0) return;
+    if (saving_) {
+      const auto* b = static_cast<const unsigned char*>(p);
+      out_.insert(out_.end(), b, b + n);
+    } else {
+      need(n);
+      std::memcpy(p, cur_, n);
+      cur_ += n;
+    }
   }
 
+  /// A run of n same-width unsigned integers: the bytes of n u8/u16/
+  /// u32/u64 calls, behind one bounds check for the whole run.
+  template <UintElement U>
+  void uints(U* p, std::size_t n) {
+    if (saving_) {
+      const std::size_t at = out_.size();
+      out_.resize(at + n * sizeof(U));
+      for (std::size_t i = 0; i < n; ++i) {
+        put_le(out_.data() + at + i * sizeof(U), p[i]);
+      }
+    } else {
+      need(n * sizeof(U));
+      for (std::size_t i = 0; i < n; ++i) {
+        p[i] = get_le<U>(cur_ + i * sizeof(U));
+      }
+      cur_ += n * sizeof(U);
+    }
+  }
+
+  /// Payload bytes consumed so far (loaders).
+  std::size_t offset() const { return static_cast<std::size_t>(cur_ - begin_); }
+
+  /// The saved byte stream (savers; leaves the visitor empty).
+  std::vector<unsigned char> take() { return std::move(out_); }
+
  protected:
-  explicit StateVisitor(bool saving) : saving_(saving) {}
+  /// A saving codec with an empty buffer.
+  StateVisitor() : saving_(true) {}
 
-  /// Transfers n raw bytes (append on save, consume on load; a load
-  /// underrun must fail(), not return short).
-  virtual void bytes(unsigned char* p, std::size_t n) = 0;
-
-  /// Bytes left to consume (loaders); savers return a huge value.
-  virtual std::uint64_t remaining() const = 0;
+  /// A loading codec over the caller-owned payload [data, data + size).
+  StateVisitor(const unsigned char* data, std::size_t size)
+      : saving_(false), begin_(data), cur_(data), end_(data + size) {}
 
  private:
+  template <UintElement U>
+  void fixed(U& x) {
+    if (saving_) {
+      const std::size_t at = out_.size();
+      out_.resize(at + sizeof(U));
+      put_le(out_.data() + at, x);
+    } else {
+      need(sizeof(U));
+      x = get_le<U>(cur_);
+      cur_ += sizeof(U);
+    }
+  }
+
+  /// Bytes left to consume (loaders only).
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - cur_);
+  }
+
+  void need(std::size_t n) {
+    if (n > remaining()) underrun(n);
+  }
+
+  [[gnu::cold, gnu::noinline]] void underrun(std::size_t n) {
+    fail("payload underrun: need " + std::to_string(n) + " bytes, " +
+         std::to_string(remaining()) + " left");
+  }
+
+  [[gnu::cold, gnu::noinline]] void count_overrun(std::uint64_t n) {
+    fail("container count " + std::to_string(n) +
+         " exceeds the remaining payload (" + std::to_string(remaining()) +
+         " bytes)");
+  }
+
   bool saving_;
   std::uint64_t wire_tag_base_ = 0;
+  std::vector<unsigned char> out_;
+  const unsigned char* begin_ = nullptr;
+  const unsigned char* cur_ = nullptr;
+  const unsigned char* end_ = nullptr;
 };
 
 // ---------------------------------------------------------------------
@@ -263,7 +315,11 @@ inline void visit(StateVisitor& v, Histogram& h) {
 
 template <typename T, std::size_t N>
 void visit(StateVisitor& v, std::array<T, N>& a) {
-  for (auto& e : a) visit(v, e);
+  if constexpr (UintElement<T>) {
+    v.uints(a.data(), N);
+  } else {
+    for (auto& e : a) visit(v, e);
+  }
 }
 
 template <typename T>
@@ -274,7 +330,11 @@ void visit(StateVisitor& v, std::vector<T>& c) {
     c.clear();
     c.resize(static_cast<std::size_t>(n));
   }
-  for (auto& e : c) visit(v, e);
+  if constexpr (UintElement<T>) {
+    v.uints(c.data(), c.size());
+  } else {
+    for (auto& e : c) visit(v, e);
+  }
 }
 
 inline void visit(StateVisitor& v, std::vector<bool>& c) {

@@ -13,77 +13,30 @@ namespace {
   throw SnapshotError("tmu-soc-snapshot: " + msg);
 }
 
-/// Appends the netlist walk's byte stream to a growable buffer.
+/// Saving codec: the netlist walk appends to the visitor's own buffer.
 class SaveVisitor final : public sim::StateVisitor {
  public:
-  SaveVisitor() : StateVisitor(/*saving=*/true) {}
-
   [[noreturn]] void fail(const std::string& msg) override { bail(msg); }
-
-  std::vector<unsigned char> take() { return std::move(out_); }
-
- protected:
-  void bytes(unsigned char* p, std::size_t n) override {
-    out_.insert(out_.end(), p, p + n);
-  }
-  std::uint64_t remaining() const override { return ~std::uint64_t{0}; }
-
- private:
-  std::vector<unsigned char> out_;
 };
 
-/// Consumes a payload; any underrun or contract violation throws with
-/// the current payload offset, so a drifted walk names where it died.
+/// Loading codec over a payload; any underrun or contract violation
+/// throws with the current payload offset, so a drifted walk names where
+/// it died.
 class LoadVisitor final : public sim::StateVisitor {
  public:
   LoadVisitor(const unsigned char* data, std::size_t size)
-      : StateVisitor(/*saving=*/false), data_(data), size_(size) {}
+      : StateVisitor(data, size) {}
 
   [[noreturn]] void fail(const std::string& msg) override {
-    bail(msg + " (at payload offset " + std::to_string(pos_) + ")");
+    bail(msg + " (at payload offset " + std::to_string(offset()) + ")");
   }
-
-  std::size_t consumed() const { return pos_; }
-
- protected:
-  void bytes(unsigned char* p, std::size_t n) override {
-    if (n > size_ - pos_) {
-      fail("payload underrun: need " + std::to_string(n) + " bytes, " +
-           std::to_string(size_ - pos_) + " left");
-    }
-    std::memcpy(p, data_ + pos_, n);
-    pos_ += n;
-  }
-  std::uint64_t remaining() const override { return size_ - pos_; }
-
- private:
-  const unsigned char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
 };
 
-void put_u32(std::vector<unsigned char>& out, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<unsigned char>(x >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>(x >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) x |= std::uint32_t{p[i]} << (8 * i);
-  return x;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) x |= std::uint64_t{p[i]} << (8 * i);
-  return x;
+template <typename U>
+void put(std::vector<unsigned char>& out, U x) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(U));
+  sim::put_le(out.data() + at, x);
 }
 
 }  // namespace
@@ -93,28 +46,34 @@ Snapshot capture(soc::Soc& soc) {
   SaveVisitor v;
   soc.visit_state(v);
   Snapshot snap;
-  snap.topology_hash = soc.desc().hash();
+  snap.desc = std::make_shared<const soc::SocDesc>(soc.desc());
+  snap.topology_hash = snap.desc->hash();
   snap.cycle = soc.sim().cycle();
   snap.payload = v.take();
   return snap;
 }
 
 void restore(const Snapshot& snap, soc::Soc& soc) {
-  const std::uint64_t have = soc.desc().hash();
-  if (snap.topology_hash != have) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "topology hash mismatch: snapshot was captured from "
-                  "%016llx, netlist '%s' hashes %016llx",
-                  static_cast<unsigned long long>(snap.topology_hash),
-                  soc.desc().name.c_str(),
-                  static_cast<unsigned long long>(have));
-    bail(buf);
+  // Equal descs have equal canonical JSON, hence equal hashes, so a
+  // captured snapshot skips re-serializing the target's desc; decoded
+  // snapshots and any structural difference take the hash check.
+  if (snap.desc == nullptr || !(*snap.desc == soc.desc())) {
+    const std::uint64_t have = soc.desc().hash();
+    if (snap.topology_hash != have) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "topology hash mismatch: snapshot was captured from "
+                    "%016llx, netlist '%s' hashes %016llx",
+                    static_cast<unsigned long long>(snap.topology_hash),
+                    soc.desc().name.c_str(),
+                    static_cast<unsigned long long>(have));
+      bail(buf);
+    }
   }
   LoadVisitor v(snap.payload.data(), snap.payload.size());
   soc.visit_state(v);
-  if (v.consumed() != snap.payload.size()) {
-    bail("payload has " + std::to_string(snap.payload.size() - v.consumed()) +
+  if (v.offset() != snap.payload.size()) {
+    bail("payload has " + std::to_string(snap.payload.size() - v.offset()) +
          " trailing bytes after the netlist walk");
   }
   if (soc.sim().cycle() != snap.cycle) {
@@ -145,12 +104,12 @@ std::vector<unsigned char> encode(const Snapshot& snap) {
   out.reserve(kHeaderBytes + snap.payload.size() + kChecksumBytes);
   out.resize(kMagicBytes);
   std::memcpy(out.data(), kMagic, kMagicBytes);
-  put_u32(out, kVersion);
-  put_u64(out, snap.topology_hash);
-  put_u64(out, snap.cycle);
-  put_u64(out, snap.payload.size());
+  put<std::uint32_t>(out, kVersion);
+  put<std::uint64_t>(out, snap.topology_hash);
+  put<std::uint64_t>(out, snap.cycle);
+  put<std::uint64_t>(out, snap.payload.size());
   out.insert(out.end(), snap.payload.begin(), snap.payload.end());
-  put_u64(out, fnv1a64(out.data(), out.size()));
+  put<std::uint64_t>(out, fnv1a64(out.data(), out.size()));
   return out;
 }
 
@@ -162,22 +121,24 @@ Snapshot decode(const unsigned char* data, std::size_t n) {
   if (std::memcmp(data, kMagic, kMagicBytes) != 0) {
     bail("bad magic (not a tmu-soc-snapshot file)");
   }
-  const std::uint32_t version = get_u32(data + kMagicBytes);
+  const std::uint32_t version = sim::get_le<std::uint32_t>(data + kMagicBytes);
   if (version != kVersion) {
     bail("unsupported version " + std::to_string(version) + " (reader knows " +
          std::to_string(kVersion) + ")");
   }
   Snapshot snap;
-  snap.topology_hash = get_u64(data + kMagicBytes + 4);
-  snap.cycle = get_u64(data + kMagicBytes + 12);
-  const std::uint64_t count = get_u64(data + kMagicBytes + 20);
+  snap.topology_hash = sim::get_le<std::uint64_t>(data + kMagicBytes + 4);
+  snap.cycle = sim::get_le<std::uint64_t>(data + kMagicBytes + 12);
+  const std::uint64_t count =
+      sim::get_le<std::uint64_t>(data + kMagicBytes + 20);
   const std::uint64_t body = n - kHeaderBytes - kChecksumBytes;
   if (count != body) {
     bail("payload count " + std::to_string(count) + " disagrees with the " +
          std::to_string(body) + " payload bytes in the file (truncated or "
          "trailing bytes)");
   }
-  const std::uint64_t want = get_u64(data + n - kChecksumBytes);
+  const std::uint64_t want =
+      sim::get_le<std::uint64_t>(data + n - kChecksumBytes);
   const std::uint64_t got = fnv1a64(data, n - kChecksumBytes);
   if (want != got) {
     char buf[96];

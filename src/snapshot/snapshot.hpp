@@ -69,8 +69,16 @@ struct Snapshot {
   std::uint64_t topology_hash = 0;  ///< SocDesc::hash() of the capture
   std::uint64_t cycle = 0;          ///< Simulator::cycle() at capture
   std::vector<unsigned char> payload;
+  /// The desc capture() saw; null for a decode()d snapshot. Lets
+  /// restore() pin the topology by structural equality instead of
+  /// re-hashing the target's desc. Not part of the encoded format, so
+  /// operator== ignores it.
+  std::shared_ptr<const soc::SocDesc> desc;
 
-  bool operator==(const Snapshot&) const = default;
+  bool operator==(const Snapshot& o) const {
+    return topology_hash == o.topology_hash && cycle == o.cycle &&
+           payload == o.payload;
+  }
 };
 
 /// Captures the complete dynamic state of `soc`. Settles the netlist
@@ -79,7 +87,9 @@ struct Snapshot {
 Snapshot capture(soc::Soc& soc);
 
 /// Restores `snap` into `soc`, which must be elaborated from the same
-/// desc (pinned by the topology hash) under the same sched policy.
+/// desc (pinned by the topology hash; a captured snapshot whose desc
+/// compares equal to soc.desc() skips the hash) under the same sched
+/// policy.
 /// After restore the simulator reports the captured cycle and continues
 /// byte-identically to the captured one. Throws SnapshotError on any
 /// mismatch; `soc` may be left partially written in that case — discard

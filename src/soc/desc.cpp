@@ -608,12 +608,16 @@ void visit_guards(SocDesc& d, const std::function<void(GuardDesc&)>& f) {
   visit_cluster_guards(d.subordinates, f);
 }
 
-GuardDesc* first_guard(SocDesc& d) {
-  GuardDesc* first = nullptr;
-  visit_guards(d, [&](GuardDesc& g) {
+const GuardDesc* first_guard(const SocDesc& d) {
+  const GuardDesc* first = nullptr;
+  visit_guards(d, [&](const GuardDesc& g) {
     if (first == nullptr) first = &g;
   });
   return first;
+}
+
+GuardDesc* first_guard(SocDesc& d) {
+  return const_cast<GuardDesc*>(first_guard(std::as_const(d)));
 }
 
 std::uint64_t SocDesc::hash() const {

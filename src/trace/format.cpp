@@ -233,11 +233,15 @@ TraceBuffer decode_trace(std::string_view bytes) {
   buf.link.assign(bytes.data() + off, link_len);
   off += link_len;
 
+  // Divide rather than multiply: count * kTraceRecordBytes wraps for a
+  // hostile count, and the reserve() below must only see a count the
+  // file's bytes actually back.
   const std::size_t payload = bytes.size() - off;
-  if (payload != count * kTraceRecordBytes) {
+  if (payload % kTraceRecordBytes != 0 ||
+      count != payload / kTraceRecordBytes) {
     bad("payload size mismatch: header says " + std::to_string(count) +
-        " records (" + std::to_string(count * kTraceRecordBytes) +
-        " bytes), file carries " + std::to_string(payload) +
+        " records of " + std::to_string(kTraceRecordBytes) +
+        " bytes, file carries " + std::to_string(payload) +
         " (truncated or trailing bytes)");
   }
 

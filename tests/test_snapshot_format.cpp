@@ -141,9 +141,20 @@ TEST(SnapshotFormat, RejectsChecksumTamper) {
 }
 
 TEST(SnapshotRestore, RejectsTopologyHashMismatch) {
+  // A captured snapshot pins the topology with the desc it saw; a decoded
+  // one only has the header hash. Both must refuse a different netlist.
   const Snapshot snap = small_snapshot();
+  ASSERT_NE(snap.desc, nullptr);
   expect_rejects([&] { snapshot::fork(snap, soc::grid_desc(2, 2, 1)); },
                  "topology hash mismatch");
+  const Snapshot decoded = snapshot::decode(snapshot::encode(snap));
+  ASSERT_EQ(decoded.desc, nullptr);
+  expect_rejects([&] { snapshot::fork(decoded, soc::grid_desc(2, 2, 1)); },
+                 "topology hash mismatch");
+  // ... and both still restore into the netlist they came from.
+  const std::unique_ptr<soc::Soc> same =
+      snapshot::fork(decoded, soc::grid_desc(2, 2, 2));
+  EXPECT_EQ(snapshot::capture(*same), snap);
 }
 
 TEST(SnapshotRestore, RejectsSchedPolicyMismatch) {
@@ -164,10 +175,30 @@ TEST(SnapshotRestore, RejectsHeaderCycleDisagreement) {
 }
 
 TEST(SnapshotRestore, RejectsPayloadUnderrun) {
-  Snapshot snap = small_snapshot();
+  // Every prefix of the payload must die inside the walk with a named
+  // error — an underrun, or a container count the shorter payload can no
+  // longer back — and never read past the cursor's end.
+  const Snapshot clean = small_snapshot();
+  const soc::SocDesc desc = soc::grid_desc(2, 2, 2);
+  for (std::size_t len = 0; len < clean.payload.size(); ++len) {
+    Snapshot snap = clean;
+    snap.payload.resize(len);
+    try {
+      snapshot::fork(snap, desc);
+      ADD_FAILURE() << "payload cut to " << len << " bytes was accepted";
+    } catch (const SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("tmu-soc-snapshot:", 0), 0u) << what;
+      EXPECT_TRUE(what.find("payload underrun") != std::string::npos ||
+                  what.find("exceeds the remaining payload") !=
+                      std::string::npos)
+          << "cut to " << len << ": " << what;
+    }
+  }
+  // One dropped byte is always an underrun of the last field.
+  Snapshot snap = clean;
   snap.payload.pop_back();
-  expect_rejects([&] { snapshot::fork(snap, soc::grid_desc(2, 2, 2)); },
-                 "payload underrun");
+  expect_rejects([&] { snapshot::fork(snap, desc); }, "payload underrun");
 }
 
 TEST(SnapshotRestore, RejectsTrailingPayloadBytes) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "trace/format.hpp"
@@ -210,14 +211,37 @@ TEST(TraceFormatStrict, MalformedRecordFields) {
 
 // ---- committed regression fixture ----
 
-TEST(TraceFormatFixture, FixtureDecodesAndReencodesByteIdentically) {
+std::string fixture_bytes() {
   const std::string path =
       std::string(TMU_TEST_DATA_DIR) + "/ip_testbench_gen.axitrace";
   std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing fixture " << path;
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
   std::ostringstream ss;
   ss << in.rdbuf();
-  const std::string bytes = ss.str();
+  return ss.str();
+}
+
+TEST(TraceFormatStrict, RecordCountOverflowIsNamed) {
+  // count * 32 wraps in 64 bits once count gains 2^59: the raised count
+  // must still fail the size check with the format's named error rather
+  // than reach the record reserve.
+  std::string bytes = fixture_bytes();
+  ASSERT_GT(bytes.size(), kTraceHeaderFixedBytes);
+  bytes[kTraceMagicBytes + 4 + 8 + 8 + 7] += 0x08;  // count's top byte
+  try {
+    decode_trace(bytes);
+    FAIL() << "a count raised by 2^59 was accepted";
+  } catch (const std::length_error& e) {
+    FAIL() << "unnamed length_error: " << e.what();
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("tmu-axi-trace:", 0), 0u) << what;
+    EXPECT_NE(what.find("payload size"), std::string::npos) << what;
+  }
+}
+
+TEST(TraceFormatFixture, FixtureDecodesAndReencodesByteIdentically) {
+  const std::string bytes = fixture_bytes();
 
   const TraceBuffer buf = decode_trace(bytes);
   EXPECT_EQ(buf.link, "gen.out");
