@@ -12,11 +12,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "sim/bytes.hpp"
 #include "sim/jsonemit.hpp"
 #include "sim/jsonparse.hpp"
 #include "soc/desc.hpp"
@@ -26,8 +27,8 @@ namespace campaign::remote {
 
 namespace {
 
+using sim::fnv1a64;
 using sim::jsonemit::Emitter;
-using sim::jsonemit::fnv1a64;
 using sim::jsonparse::Json;
 using sim::jsonparse::ObjReader;
 
@@ -640,13 +641,11 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 std::string read_file(const fs::path& p) {
-  std::ifstream f(p, std::ios::binary);
-  if (!f) {
+  std::optional<std::string> text = sim::read_whole_file(p.string());
+  if (!text) {
     throw std::runtime_error("campaign::remote: cannot read " + p.string());
   }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
+  return std::move(*text);
 }
 
 void write_file(const fs::path& p, const std::string& text) {

@@ -112,16 +112,4 @@ class Emitter {
   bool pending_value_ = false;
 };
 
-/// FNV-1a 64 over a document: the repo's stable cross-process
-/// fingerprint (same function SocDesc::hash uses over its canonical
-/// JSON; campaign specs and slice checksums reuse it).
-inline std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 }  // namespace sim::jsonemit

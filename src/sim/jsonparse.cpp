@@ -8,6 +8,11 @@ namespace sim::jsonparse {
 
 namespace {
 
+/// Deepest array/object nesting accepted. The parser recurses once per
+/// level, so without a bound a hostile document overflows the stack;
+/// the repo's own documents nest 9 deep at most.
+constexpr int kMaxDepth = 256;
+
 /// Recursive-descent reader over the raw text. All errors throw through
 /// fail() with the caller's context prefix.
 class Parser {
@@ -112,10 +117,15 @@ class Parser {
       ++p_;
     }
     const std::string tok(start, p_);
-    if (tok.empty() || tok == "-") fail("malformed number");
     Json v;
     v.kind = Json::Kind::kNumber;
-    v.num = std::strtod(tok.c_str(), nullptr);
+    char* stop = nullptr;
+    v.num = std::strtod(tok.c_str(), &stop);
+    // The scan above is permissive ("1.2.3", "1-2", "1e"); strtod must
+    // consume all of it or the token is not a number.
+    if (tok.empty() || stop != tok.c_str() + tok.size()) {
+      fail("malformed number '" + tok + "'");
+    }
     if (integral && tok[0] != '-') {
       // Full-precision uint64 path: seeds and addresses exceed the
       // 53-bit double mantissa.
@@ -130,6 +140,9 @@ class Parser {
   Json parse_value() {
     const char c = peek();
     Json v;
+    if ((c == '{' || c == '[') && ++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     if (c == '{') {
       ++p_;
       v.kind = Json::Kind::kObject;
@@ -141,6 +154,7 @@ class Parser {
         } while (consume(','));
         expect('}');
       }
+      --depth_;
     } else if (c == '[') {
       ++p_;
       v.kind = Json::Kind::kArray;
@@ -150,6 +164,7 @@ class Parser {
         } while (consume(','));
         expect(']');
       }
+      --depth_;
     } else if (c == '"') {
       v.kind = Json::Kind::kString;
       v.str = parse_string();
@@ -170,6 +185,7 @@ class Parser {
   const char* p_;
   const char* end_;
   const std::string& prefix_;
+  int depth_ = 0;
 };
 
 }  // namespace

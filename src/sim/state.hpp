@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "sim/bytes.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/wire.hpp"
@@ -30,32 +31,6 @@
 /// underruns, bad bools and container counts exceeding the remaining
 /// payload all abort through fail() with a named error.
 namespace sim {
-
-/// Little-endian fixed-width integer codec (the byte order of every
-/// integer in the snapshot format).
-template <typename U>
-  requires std::is_unsigned_v<U>
-inline void put_le(unsigned char* p, U x) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(p, &x, sizeof(U));
-  } else {
-    for (std::size_t i = 0; i < sizeof(U); ++i) {
-      p[i] = static_cast<unsigned char>(x >> (8 * i));
-    }
-  }
-}
-
-template <typename U>
-  requires std::is_unsigned_v<U>
-inline U get_le(const unsigned char* p) {
-  U x = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&x, p, sizeof(U));
-  } else {
-    for (std::size_t i = 0; i < sizeof(U); ++i) x |= U(p[i]) << (8 * i);
-  }
-  return x;
-}
 
 /// Unsigned integer types (bool excluded: it travels as a validated
 /// 0/1 byte). Arrays of these move as one StateVisitor::uints() run.

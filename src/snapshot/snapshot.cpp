@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
+#include "sim/bytes.hpp"
 #include "sim/state.hpp"
 
 namespace snapshot {
@@ -11,6 +13,11 @@ namespace {
 
 [[noreturn]] void bail(const std::string& msg) {
   throw SnapshotError("tmu-soc-snapshot: " + msg);
+}
+
+/// The image checksum: FNV-1a 64 over everything before it.
+std::uint64_t checksum(const unsigned char* p, std::size_t n) {
+  return sim::fnv1a64({reinterpret_cast<const char*>(p), n});
 }
 
 /// Saving codec: the netlist walk appends to the visitor's own buffer.
@@ -31,13 +38,6 @@ class LoadVisitor final : public sim::StateVisitor {
     bail(msg + " (at payload offset " + std::to_string(offset()) + ")");
   }
 };
-
-template <typename U>
-void put(std::vector<unsigned char>& out, U x) {
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(U));
-  sim::put_le(out.data() + at, x);
-}
 
 }  // namespace
 
@@ -90,26 +90,17 @@ std::unique_ptr<soc::Soc> fork(const Snapshot& snap,
   return soc;
 }
 
-std::uint64_t fnv1a64(const unsigned char* p, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 std::vector<unsigned char> encode(const Snapshot& snap) {
   std::vector<unsigned char> out;
   out.reserve(kHeaderBytes + snap.payload.size() + kChecksumBytes);
   out.resize(kMagicBytes);
   std::memcpy(out.data(), kMagic, kMagicBytes);
-  put<std::uint32_t>(out, kVersion);
-  put<std::uint64_t>(out, snap.topology_hash);
-  put<std::uint64_t>(out, snap.cycle);
-  put<std::uint64_t>(out, snap.payload.size());
+  sim::append_le<std::uint32_t>(out, kVersion);
+  sim::append_le<std::uint64_t>(out, snap.topology_hash);
+  sim::append_le<std::uint64_t>(out, snap.cycle);
+  sim::append_le<std::uint64_t>(out, snap.payload.size());
   out.insert(out.end(), snap.payload.begin(), snap.payload.end());
-  put<std::uint64_t>(out, fnv1a64(out.data(), out.size()));
+  sim::append_le<std::uint64_t>(out, checksum(out.data(), out.size()));
   return out;
 }
 
@@ -139,7 +130,7 @@ Snapshot decode(const unsigned char* data, std::size_t n) {
   }
   const std::uint64_t want =
       sim::get_le<std::uint64_t>(data + n - kChecksumBytes);
-  const std::uint64_t got = fnv1a64(data, n - kChecksumBytes);
+  const std::uint64_t got = checksum(data, n - kChecksumBytes);
   if (want != got) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
@@ -164,18 +155,10 @@ void write_file(const Snapshot& snap, const std::string& path) {
 }
 
 Snapshot read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) bail("cannot open '" + path + "' for reading");
-  std::vector<unsigned char> image;
-  unsigned char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    image.insert(image.end(), buf, buf + got);
-  }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) bail("read from '" + path + "' failed");
-  return decode(image.data(), image.size());
+  const std::optional<std::string> image = sim::read_whole_file(path);
+  if (!image) bail("cannot read '" + path + "'");
+  return decode(reinterpret_cast<const unsigned char*>(image->data()),
+                image->size());
 }
 
 }  // namespace snapshot

@@ -101,10 +101,6 @@ void restore(const Snapshot& snap, soc::Soc& soc);
 /// Simulator, own context) that may run on its own thread.
 std::unique_ptr<soc::Soc> fork(const Snapshot& snap, const soc::SocDesc& desc);
 
-/// FNV-1a 64 over a byte range (the format's checksum; exposed for
-/// tests that tamper with encoded images).
-std::uint64_t fnv1a64(const unsigned char* p, std::size_t n);
-
 /// Encodes to the on-disk image (header + payload + checksum).
 std::vector<unsigned char> encode(const Snapshot& snap);
 

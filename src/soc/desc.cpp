@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/bytes.hpp"
 #include "sim/jsonemit.hpp"
 #include "sim/jsonfmt.hpp"
 #include "sim/jsonparse.hpp"
@@ -623,7 +624,7 @@ GuardDesc* first_guard(SocDesc& d) {
 std::uint64_t SocDesc::hash() const {
   // FNV-1a 64 over the canonical JSON: process-independent, so remote
   // shards and campaign reports agree on the fingerprint.
-  return sim::jsonemit::fnv1a64(to_json());
+  return sim::fnv1a64(to_json());
 }
 
 }  // namespace soc

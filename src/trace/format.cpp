@@ -20,33 +20,22 @@
 #include "trace/format.hpp"
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+
+#include "sim/bytes.hpp"
 
 namespace trace {
 
 namespace {
 
+using sim::append_le;
+using sim::get_le;
+
 constexpr std::size_t kCountOffset = kTraceMagicBytes + 4 + 8;  // dropped
 constexpr std::size_t kFlushBlockBytes = 64 * 1024;
 constexpr std::uint8_t kFlagLast = 0x1;
 constexpr std::uint8_t kFlagRetract = 0x2;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::runtime_error("tmu-axi-trace: " + what);
@@ -105,30 +94,30 @@ void encode_record(std::string& out, const TraceRecord& raw,
         std::to_string(delta) + " exceeds the 32-bit delta encoding");
   }
   last_cycle = r.cycle;
-  put_u32(out, static_cast<std::uint32_t>(delta));
+  append_le<std::uint32_t>(out, static_cast<std::uint32_t>(delta));
   out += static_cast<char>(r.ch);
   out += static_cast<char>((r.last ? kFlagLast : 0) |
                            (r.retract ? kFlagRetract : 0));
   out += static_cast<char>(r.len);
   out += static_cast<char>(r.size);
-  put_u32(out, r.id);
+  append_le<std::uint32_t>(out, r.id);
   out += static_cast<char>(r.burst);
   out += static_cast<char>(r.resp);
   out += static_cast<char>(r.strb);
   out += '\0';  // pad
-  put_u64(out, r.addr);
-  put_u64(out, r.data);
+  append_le<std::uint64_t>(out, r.addr);
+  append_le<std::uint64_t>(out, r.data);
 }
 
 std::string encode_header(const std::string& link, std::uint64_t hash,
                           std::uint64_t dropped, std::uint64_t count) {
   std::string out;
   out.append(kTraceMagic, kTraceMagicBytes);
-  put_u32(out, kTraceVersion);
-  put_u64(out, hash);
-  put_u64(out, dropped);
-  put_u64(out, count);
-  put_u32(out, static_cast<std::uint32_t>(link.size()));
+  append_le<std::uint32_t>(out, kTraceVersion);
+  append_le<std::uint64_t>(out, hash);
+  append_le<std::uint64_t>(out, dropped);
+  append_le<std::uint64_t>(out, count);
+  append_le<std::uint32_t>(out, static_cast<std::uint32_t>(link.size()));
   out += link;
   return out;
 }
@@ -177,8 +166,8 @@ bool TraceWriter::close() {
   // header keeps the kTraceUnfinalized sentinel and reads as corrupt.
   if (ok_) {
     std::string patch;
-    put_u64(patch, dropped_);
-    put_u64(patch, count_);
+    append_le<std::uint64_t>(patch, dropped_);
+    append_le<std::uint64_t>(patch, count_);
     if (std::fseek(f_, static_cast<long>(kCountOffset), SEEK_SET) != 0 ||
         std::fwrite(patch.data(), 1, patch.size(), f_) != patch.size()) {
       ok_ = false;
@@ -212,19 +201,20 @@ TraceBuffer decode_trace(std::string_view bytes) {
   if (std::memcmp(p, kTraceMagic, kTraceMagicBytes) != 0) {
     bad("bad magic (not a tmu-axi-trace file)");
   }
-  const std::uint32_t version = get_u32(p + kTraceMagicBytes);
+  const std::uint32_t version = get_le<std::uint32_t>(p + kTraceMagicBytes);
   if (version != kTraceVersion) {
     bad("unsupported version " + std::to_string(version) + " (expected " +
         std::to_string(kTraceVersion) + ")");
   }
   TraceBuffer buf;
-  buf.topology_hash = get_u64(p + kTraceMagicBytes + 4);
-  buf.dropped = get_u64(p + kTraceMagicBytes + 12);
-  const std::uint64_t count = get_u64(p + kCountOffset + 8);
+  buf.topology_hash = get_le<std::uint64_t>(p + kTraceMagicBytes + 4);
+  buf.dropped = get_le<std::uint64_t>(p + kTraceMagicBytes + 12);
+  const std::uint64_t count = get_le<std::uint64_t>(p + kCountOffset + 8);
   if (count == kTraceUnfinalized) {
     bad("unfinalized trace (the writer was never closed)");
   }
-  const std::uint32_t link_len = get_u32(p + kTraceHeaderFixedBytes - 4);
+  const std::uint32_t link_len =
+      get_le<std::uint32_t>(p + kTraceHeaderFixedBytes - 4);
   if (link_len > 4096) {
     bad("implausible link-name length " + std::to_string(link_len));
   }
@@ -251,7 +241,7 @@ TraceBuffer decode_trace(std::string_view bytes) {
     const unsigned char* r = p + off;
     const auto where = [&] { return "record " + std::to_string(i); };
     TraceRecord rec;
-    cycle += get_u32(r);
+    cycle += get_le<std::uint32_t>(r);
     rec.cycle = cycle;
     if (r[4] > static_cast<std::uint8_t>(Channel::kR)) {
       bad(where() + ": unknown channel " + std::to_string(r[4]));
@@ -270,7 +260,7 @@ TraceBuffer decode_trace(std::string_view bytes) {
     }
     rec.len = r[6];
     rec.size = r[7];
-    rec.id = get_u32(r + 8);
+    rec.id = get_le<std::uint32_t>(r + 8);
     rec.burst = r[12];
     if (rec.burst > static_cast<std::uint8_t>(axi::Burst::kWrap)) {
       bad(where() + ": bad burst encoding " + std::to_string(rec.burst));
@@ -281,8 +271,8 @@ TraceBuffer decode_trace(std::string_view bytes) {
     }
     rec.strb = r[14];
     if (r[15] != 0) bad(where() + ": nonzero pad byte");
-    rec.addr = get_u64(r + 16);
-    rec.data = get_u64(r + 24);
+    rec.addr = get_le<std::uint64_t>(r + 16);
+    rec.data = get_le<std::uint64_t>(r + 24);
     if (rec != canonical(rec)) {
       bad(where() + ": non-canonical " + to_string(rec.ch) +
           " record (fields the channel does not carry are set)");
@@ -300,19 +290,10 @@ bool write_trace_file(const std::string& path, const TraceBuffer& buf) {
 }
 
 TraceBuffer read_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) bad("cannot open '" + path + "'");
-  std::string bytes;
-  char chunk[65536];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    bytes.append(chunk, n);
-  }
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) bad("I/O error reading '" + path + "'");
+  const std::optional<std::string> bytes = sim::read_whole_file(path);
+  if (!bytes) bad("cannot read '" + path + "'");
   try {
-    return decode_trace(bytes);
+    return decode_trace(*bytes);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string(e.what()) + " [" + path + "]");
   }

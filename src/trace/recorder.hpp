@@ -18,9 +18,9 @@ namespace trace {
 /// the `traces` section of soc::SocDesc, or construct directly in
 /// testbench code and register it with the simulator.
 ///
-/// Like the other tick-only samplers (axi::Tracer, obs::LatencyProbe)
-/// it never drives wires, so inserting it cannot perturb the netlist —
-/// a recorded run is cycle-identical to an unrecorded one. Capture is
+/// Like obs::LatencyProbe, the other tick-only sampler, it never drives
+/// wires, so inserting it cannot perturb the netlist — a recorded run
+/// is cycle-identical to an unrecorded one. Capture is
 /// bounded: past `capacity` records the stream stops growing and
 /// drop_count() says how much of the tail is missing (a truncated
 /// buffer replays as a prefix of the workload).

@@ -436,6 +436,28 @@ TEST(SocDescJson, MalformedDocumentsThrowNamingTheProblem) {
       SocDesc::from_json(
           R"({"schema": "tmu-soc-desc-v1", "id_shift": 99999999999999999999})"),
       std::invalid_argument);
+  // Hostile nesting must end in the named error, not a stack overflow.
+  try {
+    SocDesc::from_json(std::string(100000, '['));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  // A number token must be consumed whole, not read up to the first
+  // character strtod stops at.
+  for (const char* tok : {"1.2.3", "1-2", "1e", "--5"}) {
+    try {
+      SocDesc::from_json(std::string(R"({"schema": "tmu-soc-desc-v1", )") +
+                         R"("id_shift": )" + tok + "}");
+      FAIL() << "expected invalid_argument for " << tok;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SocDescJson, BuildsFromParsedDocument) {

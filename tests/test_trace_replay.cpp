@@ -3,7 +3,8 @@
 // the recording topology — subordinate-side traffic, memory state and
 // probe metrics byte-identical. Pinned on the IP-level testbench, on
 // the full Cheshire SoC under BOTH scheduler policies, on a
-// retract-heavy handshake, and against the committed fixture.
+// retract-heavy handshake, and against the committed fixture. Also
+// covers the recorder's capture bound and drop accounting.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "axi/link.hpp"
 #include "axi/memory.hpp"
 #include "axi/traffic_gen.hpp"
+#include "obs/metrics.hpp"
 #include "sim/kernel.hpp"
 #include "soc/builder.hpp"
 #include "soc/cheshire.hpp"
@@ -234,6 +236,45 @@ TEST(TraceReplay, RetractedPresentationsReplayExactly) {
   for (axi::Addr a = 0x100; a < 0x120; ++a) {
     EXPECT_EQ(rep_mem.peek(a), rec_mem.peek(a)) << "addr 0x" << std::hex << a;
   }
+}
+
+// A capture bound truncates the stream to a prefix: the recorder stops
+// at `capacity`, drop_count() and the registry's "<name>.dropped" both
+// count the overflow (never as captured records), and the encoded trace
+// carries the drop count.
+TEST(TraceRecorder, CapacityBoundsTheCaptureAndCountsDrops) {
+  axi::Link link;
+  axi::TrafficGenerator gen("gen", link);
+  axi::MemorySubordinate mem("mem", link);
+  obs::MetricsRegistry reg;
+  trace::Recorder rec("cap", "gen.out", link, /*topology_hash=*/0,
+                      /*capacity=*/4, &reg);
+  sim::Simulator s;
+  s.add(gen);
+  s.add(mem);
+  s.add(rec);
+  s.reset();
+  gen.push(axi::TxnDesc{true, 0, 0x0, 15, 3, axi::Burst::kIncr});
+  ASSERT_TRUE(s.run_until([&] { return gen.completed() >= 1; }, 300));
+
+  EXPECT_EQ(rec.buffer().records.size(), 4u);
+  EXPECT_GT(rec.drop_count(), 0u);
+  EXPECT_EQ(reg.counter("cap.dropped").value(), rec.drop_count());
+  EXPECT_EQ(reg.counter("cap.records").value(), 4u);
+  std::uint64_t per_channel[5] = {};
+  for (const trace::TraceRecord& r : rec.buffer().records) {
+    if (!r.retract) ++per_channel[static_cast<std::size_t>(r.ch)];
+  }
+  const char* channels[5] = {"aw", "w", "b", "ar", "r"};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(reg.counter(std::string("cap.") + channels[i]).value(),
+              per_channel[i])
+        << channels[i];
+  }
+  const trace::TraceBuffer back =
+      trace::decode_trace(trace::encode_trace(rec.buffer()));
+  EXPECT_EQ(back.dropped, rec.drop_count());
+  EXPECT_EQ(back.records, rec.buffer().records);
 }
 
 // ------------------------- committed fixture ---------------------------

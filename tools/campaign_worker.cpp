@@ -33,12 +33,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/remote.hpp"
+#include "sim/bytes.hpp"
 
 namespace {
 
@@ -100,11 +103,9 @@ bool consume(FailPlan& plan) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot read " + path);
-  std::string text{std::istreambuf_iterator<char>(f),
-                   std::istreambuf_iterator<char>()};
-  return text;
+  std::optional<std::string> text = sim::read_whole_file(path);
+  if (!text) throw std::runtime_error("cannot read " + path);
+  return std::move(*text);
 }
 
 void write_file_atomic(const std::string& path, const std::string& text) {
