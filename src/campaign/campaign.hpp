@@ -117,6 +117,13 @@ struct TrialResult {
 
 using TrialFn = std::function<TrialResult(const TrialSpec&)>;
 
+/// Runs one trial body with failure capture: a throwing trial is data,
+/// not a campaign abort. The exception's message lands in a `failed`
+/// result, so the outcome stays in the trial's own slot (deterministic
+/// at any thread count or shard split). Engine::run and
+/// remote::run_range both run trials through this.
+TrialResult run_captured(const TrialFn& fn, const TrialSpec& spec);
+
 /// Standard fault trial: elaborates spec.desc through SocBuilder (by
 /// default the Fig. 8/9 testbench: traffic gen -> manager-side injector
 /// -> TMU -> subordinate-side injector -> memory, with the external

@@ -44,6 +44,19 @@ std::vector<TrialSpec> flatten_trials(const std::vector<Scenario>& scenarios,
   return specs;
 }
 
+TrialResult run_captured(const TrialFn& fn, const TrialSpec& spec) {
+  TrialResult failed;
+  failed.failed = true;
+  try {
+    return fn(spec);
+  } catch (const std::exception& e) {
+    failed.error = e.what();
+  } catch (...) {
+    failed.error = "unknown exception";
+  }
+  return failed;
+}
+
 Scenario make_scenario(std::string label, const TrialSpec& proto,
                        std::size_t n) {
   Scenario sc;
@@ -162,21 +175,7 @@ Report Engine::run(const std::vector<Scenario>& scenarios,
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= specs.size()) return;
-      try {
-        rep.results[i] = body(specs[i]);
-      } catch (const std::exception& e) {
-        // A throwing trial is data, not a campaign abort: the failure
-        // lands in the trial's own result slot (deterministic at any
-        // thread count) and the remaining trials keep running. The
-        // scenario summary surfaces it as failed_trials.
-        rep.results[i] = TrialResult{};
-        rep.results[i].failed = true;
-        rep.results[i].error = e.what();
-      } catch (...) {
-        rep.results[i] = TrialResult{};
-        rep.results[i].failed = true;
-        rep.results[i].error = "unknown exception";
-      }
+      rep.results[i] = run_captured(body, specs[i]);
     }
   };
 

@@ -19,11 +19,152 @@
 
 #include "sim/bytes.hpp"
 #include "sim/jsonemit.hpp"
+#include "sim/jsonio.hpp"
 #include "sim/jsonparse.hpp"
 #include "soc/desc.hpp"
 #include "soc/desc_serde.hpp"
 
-namespace campaign::remote {
+using sim::jsonio::FieldVisitor;
+
+// Field lists sit in their struct's namespace, where jsonio::save()
+// looks them up; the shared TMU/traffic blocks come from desc_serde.hpp.
+
+namespace obs {
+
+// Metric names are data, not schema, so each map is walked by hand, one
+// branch per direction. A stat travels as its full Welford state rather
+// than derived views: from_parts rebuilds the exact stream, so a merge
+// downstream is bit-identical to never having serialized at all.
+static void stat_fields(FieldVisitor& v, sim::RunningStats& s) {
+  std::uint64_t count = s.count();
+  double mean = s.mean(), m2 = s.m2(), min = s.min(), max = s.max();
+  v.field("count", count);
+  v.field("mean", mean);
+  v.field("m2", m2);
+  v.field("min", min);
+  v.field("max", max);
+  if (!v.saving()) {
+    s = sim::RunningStats::from_parts(count, mean, m2, min, max);
+  }
+}
+
+static void fields(FieldVisitor& v, MetricsSnapshot& m) {
+  if (v.saving()) {
+    sim::jsonemit::Emitter& e = v.emitter();
+    e.open_obj("counters");
+    for (const auto& [name, c] : m.counters) e.u64(name.c_str(), c);
+    e.close_obj();
+    e.open_obj("stats");
+    for (auto& [name, s] : m.stats) {
+      e.open_obj(name.c_str());
+      stat_fields(v, s);
+      e.close_obj();
+    }
+    e.close_obj();
+    e.open_obj("histograms");
+    for (const auto& [name, h] : m.histograms) {
+      e.open_obj(name.c_str());
+      for (const auto& [value, count] : h.bins()) {
+        e.u64(std::to_string(value).c_str(), count);
+      }
+      e.close_obj();
+    }
+    e.close_obj();
+    return;
+  }
+  using sim::jsonparse::Json;
+  const auto take_map = [&v](const char* k) {
+    const Json* o = v.reader().take(k);
+    if (o != nullptr && o->kind != Json::Kind::kObject) {
+      v.fail(v.ctx(k) + " must be an object");
+    }
+    return o;
+  };
+  if (const Json* c = take_map("counters")) {
+    for (const auto& [name, val] : c->obj) {
+      if (val.kind != Json::Kind::kNumber || !val.is_unsigned) {
+        v.fail(v.ctx("counters") + "." + name +
+               " must be a non-negative integer");
+      }
+      m.counters[name] = val.unum;
+    }
+  }
+  if (const Json* st = take_map("stats")) {
+    for (const auto& [name, val] : st->obj) {
+      FieldVisitor sv(val, v.ctx("stats") + "." + name, v.reader().prefix());
+      stat_fields(sv, m.stats[name] = sim::RunningStats{});
+      sv.finish();
+    }
+  }
+  if (const Json* h = take_map("histograms")) {
+    for (const auto& [name, val] : h->obj) {
+      const std::string where = v.ctx("histograms") + "." + name;
+      if (val.kind != Json::Kind::kObject) v.fail(where + " must be an object");
+      sim::Histogram& hist = m.histograms[name];
+      for (const auto& [bin, count] : val.obj) {
+        if (bin.empty() ||
+            bin.find_first_not_of("0123456789") != std::string::npos) {
+          v.fail(where + ": bin '" + bin + "' is not a non-negative integer");
+        }
+        if (count.kind != Json::Kind::kNumber || !count.is_unsigned) {
+          v.fail(where + "." + bin + " must be a non-negative integer");
+        }
+        hist.add_count(std::strtoull(bin.c_str(), nullptr, 10), count.unum);
+      }
+    }
+  }
+}
+
+}  // namespace obs
+
+namespace campaign {
+
+/// A spec trial entry: `count` consecutive copies of `t` (run-length
+/// encoding over equal trials) whose desc is topology-table entry
+/// `topology` — the spec transports each distinct desc once, verbatim.
+static void fields(FieldVisitor& v, TrialSpec& t, std::uint64_t& count,
+                   std::uint64_t& topology) {
+  v.field("count", count);
+  v.field("topology", topology);
+  v.object("cfg", t.cfg);
+  v.enumeration("point", t.point, fault::FaultPoint::kRReadyStuck,
+                "fault point");
+  v.object("traffic", t.traffic);
+  v.field("seed", t.seed);
+  v.field("inject_delay_max", t.inject_delay_max);
+  v.field("detect_budget", t.detect_budget);
+  v.field("soak_cycles", t.soak_cycles);
+  v.field("max_cycles", t.max_cycles);
+  // Schema-compatible optional: absent means 0, and specs without a
+  // warm-up phase keep emitting byte-identical v1 documents (older
+  // readers, with their unknown-key strictness, still accept them).
+  v.nonzero("warmup_cycles", t.warmup_cycles);
+  v.field("exercise_recovery", t.exercise_recovery);
+  v.strings("trace_links", t.trace_links);
+}
+
+/// A slice entry: the trial's global campaign `index` and its result.
+/// Trace buffers do not ride slices (run_range drops them).
+static void fields(FieldVisitor& v, TrialResult& r, std::uint64_t& index) {
+  v.field("index", index);
+  v.field("failed", r.failed);
+  v.field("error", r.error);
+  v.field("timed_out", r.timed_out);
+  v.field("detected", r.detected);
+  v.field("recovered", r.recovered);
+  v.field("traffic_resumed", r.traffic_resumed);
+  v.field("inject_delay", r.inject_delay);
+  v.field("detect_cycle", r.detect_cycle);
+  v.field("latency", r.latency);
+  v.field("cycles_run", r.cycles_run);
+  v.field("eval_passes", r.eval_passes);
+  v.field("completed_txns", r.completed_txns);
+  v.field("data_mismatches", r.data_mismatches);
+  v.field("error_responses", r.error_responses);
+  v.object("metrics", r.metrics);
+}
+
+namespace remote {
 
 namespace {
 
@@ -37,17 +178,6 @@ constexpr const char* kSlicePrefix = "ReportSlice::from_json";
 
 [[noreturn]] void fail(const std::string& prefix, const std::string& what) {
   throw std::invalid_argument(prefix + ": " + what);
-}
-
-bool fault_point_from_string(const std::string& s, fault::FaultPoint& out) {
-  for (int i = 0; i <= static_cast<int>(fault::FaultPoint::kRReadyStuck); ++i) {
-    const auto p = static_cast<fault::FaultPoint>(i);
-    if (s == fault::to_string(p)) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::uint64_t parse_hex64(const std::string& s, const std::string& prefix,
@@ -93,76 +223,22 @@ TopoTable build_topo_table(const std::vector<Scenario>& scenarios) {
   return table;
 }
 
-void emit_trial_run(Emitter& e, const TrialSpec& t, std::uint64_t count,
-                    std::size_t topo_idx) {
-  e.open_obj();
-  e.u64("count", count);
-  e.u64("topology", topo_idx);
-  soc::serde::emit_tmu(e, "cfg", t.cfg);
-  e.str("point", fault::to_string(t.point));
-  soc::serde::emit_traffic(e, "traffic", t.traffic);
-  e.u64("seed", t.seed);
-  e.u64("inject_delay_max", t.inject_delay_max);
-  e.u64("detect_budget", t.detect_budget);
-  e.u64("soak_cycles", t.soak_cycles);
-  e.u64("max_cycles", t.max_cycles);
-  // Schema-compatible optional: absent means 0, and specs without a
-  // warm-up phase keep emitting byte-identical v1 documents (older
-  // readers, with their unknown-key strictness, still accept them).
-  if (t.warmup_cycles != 0) e.u64("warmup_cycles", t.warmup_cycles);
-  e.boolean("exercise_recovery", t.exercise_recovery);
-  e.open_arr("trace_links");
-  for (const std::string& l : t.trace_links) e.str_elem(l);
-  e.close_arr();
-  e.close_obj();
-}
-
-void parse_trial_run(const Json& v, const std::string& where,
+void parse_trial_run(const Json& json, const std::string& where,
                      const std::vector<soc::SocDesc>& topologies,
                      std::vector<TrialSpec>& out) {
-  ObjReader r(v, where, kSpecPrefix);
+  FieldVisitor v(json, where, kSpecPrefix);
+  TrialSpec t;
   std::uint64_t count = 1;
-  r.get_u("count", count);
-  if (count == 0) r.fail(r.ctx("count") + " must be at least 1");
   std::uint64_t topo = 0;
-  r.get_u("topology", topo);
+  fields(v, t, count, topo);
+  v.finish();
+  if (count == 0) v.fail(v.ctx("count") + " must be at least 1");
   if (topo >= topologies.size()) {
-    r.fail(r.ctx("topology") + ": index " + std::to_string(topo) +
+    v.fail(v.ctx("topology") + ": index " + std::to_string(topo) +
            " out of range (table has " + std::to_string(topologies.size()) +
            " entries)");
   }
-  TrialSpec t;
   t.desc = topologies[topo];
-  if (const Json* c = r.take("cfg")) {
-    soc::serde::parse_tmu(*c, where + ".cfg", kSpecPrefix, t.cfg);
-  }
-  std::string point = fault::to_string(t.point);
-  r.get("point", point);
-  if (!fault_point_from_string(point, t.point)) {
-    r.fail(r.ctx("point") + ": unknown fault point '" + point + "'");
-  }
-  if (const Json* tr = r.take("traffic")) {
-    soc::serde::parse_traffic(*tr, where + ".traffic", kSpecPrefix, t.traffic);
-  }
-  r.get_u("seed", t.seed);
-  r.get_u("inject_delay_max", t.inject_delay_max);
-  r.get_u("detect_budget", t.detect_budget);
-  r.get_u("soak_cycles", t.soak_cycles);
-  r.get_u("max_cycles", t.max_cycles);
-  r.get_u("warmup_cycles", t.warmup_cycles);
-  r.get("exercise_recovery", t.exercise_recovery);
-  if (const Json* links = r.take("trace_links")) {
-    if (links->kind != Json::Kind::kArray) {
-      r.fail(r.ctx("trace_links") + " must be an array of strings");
-    }
-    for (const Json& l : links->arr) {
-      if (l.kind != Json::Kind::kString) {
-        r.fail(r.ctx("trace_links") + " must be an array of strings");
-      }
-      t.trace_links.push_back(l.str);
-    }
-  }
-  r.finish();
   out.insert(out.end(), count, t);
 }
 
@@ -175,7 +251,7 @@ std::uint64_t CampaignSpec::total_trials() const {
 }
 
 std::string CampaignSpec::to_json() const {
-  const TopoTable table = build_topo_table(scenarios);
+  TopoTable table = build_topo_table(scenarios);
   Emitter e;
   e.open_obj();
   e.str("schema", kSpecSchema);
@@ -192,9 +268,6 @@ std::string CampaignSpec::to_json() const {
   }
   e.close_arr();
   e.open_arr("scenarios");
-  // Rebuild the memo per emission pass: intern() below must see the
-  // same first-use order the table was built with.
-  TopoTable lookup = build_topo_table(scenarios);
   for (const Scenario& sc : scenarios) {
     e.open_obj();
     e.str("label", sc.label);
@@ -204,7 +277,11 @@ std::string CampaignSpec::to_json() const {
     for (std::size_t i = 0; i < sc.trials.size();) {
       std::size_t j = i + 1;
       while (j < sc.trials.size() && sc.trials[j] == sc.trials[i]) ++j;
-      emit_trial_run(e, sc.trials[i], j - i, lookup.intern(sc.trials[i].desc));
+      std::uint64_t count = j - i;
+      std::uint64_t topo = table.intern(sc.trials[i].desc);
+      e.open_obj();
+      sim::jsonio::save(e, sc.trials[i], count, topo);
+      e.close_obj();
       i = j;
     }
     e.close_arr();
@@ -305,52 +382,15 @@ std::uint64_t CampaignSpec::topologies_hash() const {
 
 namespace {
 
-void emit_result(Emitter& e, const TrialResult& r, std::uint64_t index) {
-  e.open_obj();
-  e.u64("index", index);
-  e.boolean("failed", r.failed);
-  e.str("error", r.error);
-  e.boolean("timed_out", r.timed_out);
-  e.boolean("detected", r.detected);
-  e.boolean("recovered", r.recovered);
-  e.boolean("traffic_resumed", r.traffic_resumed);
-  e.u64("inject_delay", r.inject_delay);
-  e.u64("detect_cycle", r.detect_cycle);
-  e.u64("latency", r.latency);
-  e.u64("cycles_run", r.cycles_run);
-  e.u64("eval_passes", r.eval_passes);
-  e.u64("completed_txns", r.completed_txns);
-  e.u64("data_mismatches", r.data_mismatches);
-  e.u64("error_responses", r.error_responses);
-  e.open_obj("metrics");
-  e.open_obj("counters");
-  for (const auto& [name, v] : r.metrics.counters) e.u64(name.c_str(), v);
-  e.close_obj();
-  e.open_obj("stats");
-  for (const auto& [name, s] : r.metrics.stats) {
-    e.open_obj(name.c_str());
-    // Full internal Welford state, not derived views: from_parts below
-    // reconstructs the exact stream, so downstream merges are
-    // bit-identical to never having serialized at all.
-    e.u64("count", s.count());
-    e.dbl("mean", s.mean());
-    e.dbl("m2", s.m2());
-    e.dbl("min", s.min());
-    e.dbl("max", s.max());
+/// Appends the results array, entry i carrying global index begin + i.
+void emit_results(Emitter& e, const std::vector<TrialResult>& results,
+                  std::uint64_t begin) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::uint64_t index = begin + i;
+    e.open_obj();
+    sim::jsonio::save(e, results[i], index);
     e.close_obj();
   }
-  e.close_obj();
-  e.open_obj("histograms");
-  for (const auto& [name, h] : r.metrics.histograms) {
-    e.open_obj(name.c_str());
-    for (const auto& [value, count] : h.bins()) {
-      e.u64(std::to_string(value).c_str(), count);
-    }
-    e.close_obj();
-  }
-  e.close_obj();
-  e.close_obj();
-  e.close_obj();
 }
 
 /// The checksum input: the results array serialized standalone (depth
@@ -360,95 +400,22 @@ std::string serialize_results(const std::vector<TrialResult>& results,
                               std::uint64_t begin) {
   Emitter e;
   e.open_arr();
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    emit_result(e, results[i], begin + i);
-  }
+  emit_results(e, results, begin);
   e.close_arr();
   return std::move(e).take();
 }
 
-TrialResult parse_result(const Json& v, const std::string& where,
+TrialResult parse_result(const Json& json, const std::string& where,
                          std::uint64_t expected_index) {
-  ObjReader r(v, where, kSlicePrefix);
+  FieldVisitor v(json, where, kSlicePrefix);
+  TrialResult out;
   std::uint64_t index = ~std::uint64_t{0};
-  r.get_u("index", index);
+  fields(v, out, index);
+  v.finish();
   if (index != expected_index) {
-    r.fail(r.ctx("index") + ": expected " + std::to_string(expected_index) +
+    v.fail(v.ctx("index") + ": expected " + std::to_string(expected_index) +
            ", got " + std::to_string(index));
   }
-  TrialResult out;
-  r.get("failed", out.failed);
-  r.get("error", out.error);
-  r.get("timed_out", out.timed_out);
-  r.get("detected", out.detected);
-  r.get("recovered", out.recovered);
-  r.get("traffic_resumed", out.traffic_resumed);
-  r.get_u("inject_delay", out.inject_delay);
-  r.get_u("detect_cycle", out.detect_cycle);
-  r.get_u("latency", out.latency);
-  r.get_u("cycles_run", out.cycles_run);
-  r.get_u("eval_passes", out.eval_passes);
-  r.get_u("completed_txns", out.completed_txns);
-  r.get_u("data_mismatches", out.data_mismatches);
-  r.get_u("error_responses", out.error_responses);
-  if (const Json* m = r.take("metrics")) {
-    ObjReader mr(*m, where + ".metrics", kSlicePrefix);
-    if (const Json* c = mr.take("counters")) {
-      if (c->kind != Json::Kind::kObject) {
-        mr.fail(mr.ctx("counters") + " must be an object");
-      }
-      for (const auto& [name, val] : c->obj) {
-        if (val.kind != Json::Kind::kNumber || !val.is_unsigned) {
-          mr.fail(mr.ctx("counters") + "." + name +
-                  " must be a non-negative integer");
-        }
-        out.metrics.counters[name] = val.unum;
-      }
-    }
-    if (const Json* st = mr.take("stats")) {
-      if (st->kind != Json::Kind::kObject) {
-        mr.fail(mr.ctx("stats") + " must be an object");
-      }
-      for (const auto& [name, val] : st->obj) {
-        ObjReader sr(val, where + ".metrics.stats." + name, kSlicePrefix);
-        std::uint64_t count = 0;
-        double mean = 0.0, m2 = 0.0, mn = 0.0, mx = 0.0;
-        sr.get_u("count", count);
-        sr.get("mean", mean);
-        sr.get("m2", m2);
-        sr.get("min", mn);
-        sr.get("max", mx);
-        sr.finish();
-        out.metrics.stats[name] =
-            sim::RunningStats::from_parts(count, mean, m2, mn, mx);
-      }
-    }
-    if (const Json* h = mr.take("histograms")) {
-      if (h->kind != Json::Kind::kObject) {
-        mr.fail(mr.ctx("histograms") + " must be an object");
-      }
-      for (const auto& [name, val] : h->obj) {
-        if (val.kind != Json::Kind::kObject) {
-          mr.fail(mr.ctx("histograms") + "." + name + " must be an object");
-        }
-        sim::Histogram& hist = out.metrics.histograms[name];
-        for (const auto& [bin, count] : val.obj) {
-          if (bin.empty() ||
-              bin.find_first_not_of("0123456789") != std::string::npos) {
-            mr.fail(mr.ctx("histograms") + "." + name + ": bin '" + bin +
-                    "' is not a non-negative integer");
-          }
-          if (count.kind != Json::Kind::kNumber || !count.is_unsigned) {
-            mr.fail(mr.ctx("histograms") + "." + name + "." + bin +
-                    " must be a non-negative integer");
-          }
-          hist.add_count(std::strtoull(bin.c_str(), nullptr, 10), count.unum);
-        }
-      }
-    }
-    mr.finish();
-  }
-  r.finish();
   return out;
 }
 
@@ -463,9 +430,7 @@ std::string ReportSlice::to_json() const {
   e.u64("begin", begin);
   e.u64("end", end);
   e.open_arr("results");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    emit_result(e, results[i], begin + i);
-  }
+  emit_results(e, results, begin);
   e.close_arr();
   e.hex64("checksum", fnv1a64(serialize_results(results, begin)));
   e.close_obj();
@@ -544,18 +509,7 @@ ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
   for (std::uint64_t i = begin; i < end; ++i) {
     if (progress) progress(i);
     TrialResult& out = s.results[i - begin];
-    // Same capture semantics as Engine::run: a throwing trial is data.
-    try {
-      out = fn(specs[i]);
-    } catch (const std::exception& e) {
-      out = TrialResult{};
-      out.failed = true;
-      out.error = e.what();
-    } catch (...) {
-      out = TrialResult{};
-      out.failed = true;
-      out.error = "unknown exception";
-    }
+    out = run_captured(fn, specs[i]);
     // Trace buffers do not ride slices (they are not part of the JSON
     // report; shipping them would dwarf the results).
     out.traces.clear();
@@ -892,4 +846,5 @@ Report Dispatcher::run(const CampaignSpec& spec) {
   return merge_slices(spec, slices);
 }
 
-}  // namespace campaign::remote
+}  // namespace remote
+}  // namespace campaign

@@ -1,5 +1,6 @@
 #include "sim/jsonparse.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -198,25 +199,29 @@ ObjReader::ObjReader(const Json& v, std::string where,
                      std::string error_prefix)
     : prefix_(std::move(error_prefix)), where_(std::move(where)) {
   if (v.kind != Json::Kind::kObject) fail(where_ + ": expected an object");
-  for (const auto& [k, val] : v.obj) fields_.emplace_back(k, &val);
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    for (std::size_t j = i + 1; j < fields_.size(); ++j) {
-      if (fields_[i].first == fields_[j].first) {
-        fail(where_ + ": duplicate key \"" + fields_[i].first + "\"");
-      }
-    }
+  fields_.reserve(v.obj.size());
+  for (std::size_t i = 0; i < v.obj.size(); ++i) {
+    fields_.push_back({v.obj[i].first, &v.obj[i].second, i, false});
+  }
+  // Sorted, a duplicate is two neighbours and take() a binary search.
+  std::sort(fields_.begin(), fields_.end(),
+            [](const Field& a, const Field& b) { return a.key < b.key; });
+  const auto dup = std::adjacent_find(
+      fields_.begin(), fields_.end(),
+      [](const Field& a, const Field& b) { return a.key == b.key; });
+  if (dup != fields_.end()) {
+    fail(where_ + ": duplicate key \"" + std::string(dup->key) + "\"");
   }
 }
 
 const Json* ObjReader::take(const char* key) {
-  for (auto it = fields_.begin(); it != fields_.end(); ++it) {
-    if (it->first == key) {
-      const Json* v = it->second;
-      fields_.erase(it);
-      return v;
-    }
-  }
-  return nullptr;
+  const std::string_view k(key);
+  const auto it = std::lower_bound(
+      fields_.begin(), fields_.end(), k,
+      [](const Field& f, std::string_view want) { return f.key < want; });
+  if (it == fields_.end() || it->key != k || it->taken) return nullptr;
+  it->taken = true;
+  return it->value;
 }
 
 void ObjReader::get(const char* key, std::string& out) {
@@ -241,8 +246,12 @@ void ObjReader::get(const char* key, double& out) {
 }
 
 void ObjReader::finish() {
-  if (!fields_.empty()) {
-    fail(where_ + ": unknown key \"" + fields_.front().first + "\"");
+  const Field* first = nullptr;
+  for (const Field& f : fields_) {
+    if (!f.taken && (first == nullptr || f.pos < first->pos)) first = &f;
+  }
+  if (first != nullptr) {
+    fail(where_ + ": unknown key \"" + std::string(first->key) + "\"");
   }
 }
 

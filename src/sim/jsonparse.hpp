@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,7 +36,10 @@ struct Json {
 Json parse(const std::string& text, const std::string& error_prefix = "json");
 
 /// Strict object reader: every key must be consumed exactly once; any
-/// leftover key is an error naming it. Missing keys keep field defaults.
+/// leftover key is an error naming the first one in document order.
+/// Missing keys keep field defaults. Construction and lookup are
+/// O(n log n) in the key count, so a hostile many-key object costs no
+/// more than parsing it.
 class ObjReader {
  public:
   ObjReader(const Json& v, std::string where,
@@ -67,16 +71,23 @@ class ObjReader {
   void finish();
 
   std::string ctx(const char* key) const { return where_ + "." + key; }
-  const std::string& where() const { return where_; }
+  const std::string& prefix() const { return prefix_; }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw std::invalid_argument(prefix_ + ": " + what);
   }
 
  private:
+  struct Field {
+    std::string_view key;
+    const Json* value;
+    std::size_t pos;  ///< document order
+    bool taken;
+  };
+
   std::string prefix_;
   std::string where_;
-  std::vector<std::pair<std::string, const Json*>> fields_;
+  std::vector<Field> fields_;  ///< sorted by key; keys are unique
 };
 
 }  // namespace sim::jsonparse

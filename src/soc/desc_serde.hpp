@@ -1,32 +1,20 @@
 #pragma once
 
-#include <string>
-
 #include "axi/traffic_gen.hpp"
-#include "sim/jsonemit.hpp"
-#include "sim/jsonparse.hpp"
+#include "sim/jsonio.hpp"
 #include "tmu/config.hpp"
 
-/// Shared JSON serde for the config blocks that appear in more than one
+/// Field lists of the config blocks that appear in more than one
 /// document schema: SocDesc topologies (tmu-soc-desc-v2) embed TMU and
 /// traffic configs per guard/manager, and campaign spec files
-/// (tmu-campaign-spec-v1) embed the same blocks per trial. Keeping one
-/// emitter/parser pair per block guarantees the two schemas stay
-/// field-compatible and equally strict (unknown keys rejected, every
-/// error named with the caller's prefix).
-namespace soc::serde {
+/// (tmu-campaign-spec-v1) embed the same blocks per trial. One list per
+/// block, driving both emission and parsing, keeps the two schemas
+/// field-compatible and equally strict. Each lives in its type's
+/// namespace so FieldVisitor::object() finds it.
+namespace axi {
+void fields(sim::jsonio::FieldVisitor& v, RandomTrafficConfig& t);
+}  // namespace axi
 
-void emit_traffic(sim::jsonemit::Emitter& e, const char* k,
-                  const axi::RandomTrafficConfig& t);
-void emit_tmu(sim::jsonemit::Emitter& e, const char* k,
-              const tmu::TmuConfig& c);
-
-/// Strict parsers: `where` names the field path for error messages,
-/// `error_prefix` the owning document parser (e.g. "SocDesc::from_json").
-void parse_traffic(const sim::jsonparse::Json& v, const std::string& where,
-                   const std::string& error_prefix,
-                   axi::RandomTrafficConfig& t);
-void parse_tmu(const sim::jsonparse::Json& v, const std::string& where,
-               const std::string& error_prefix, tmu::TmuConfig& c);
-
-}  // namespace soc::serde
+namespace tmu {
+void fields(sim::jsonio::FieldVisitor& v, TmuConfig& c);
+}  // namespace tmu

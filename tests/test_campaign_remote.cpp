@@ -20,6 +20,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/remote.hpp"
+#include "sim/bytes.hpp"
 #include "sim/logger.hpp"
 #include "soc/topologies.hpp"
 #include "tmu/config.hpp"
@@ -313,6 +314,23 @@ TEST_F(CampaignRemote, SliceRoundTripsByteIdentical) {
     EXPECT_EQ(back.results[i].latency, slice.results[i].latency);
     EXPECT_EQ(back.results[i].failed, slice.results[i].failed);
   }
+}
+
+// The canonical spec and slice bytes, pinned as FNV-1a literals: the
+// round-trip tests only prove self-consistency, so a reordered field
+// would pass them while silently changing every spec/slice fingerprint.
+TEST_F(CampaignRemote, CanonicalDocumentsArePinned) {
+  CampaignSpec spec = mixed_spec();
+  EXPECT_EQ(spec.hash(), 0x9b1124e4df8bb91full);
+  EXPECT_EQ(spec.topologies_hash(), 0x349c3c6d4e6639a6ull);
+  const ReportSlice slice =
+      campaign::remote::run_range(spec, 2, 14, {}, synthetic_trial);
+  EXPECT_EQ(sim::fnv1a64(slice.to_json()), 0xae660b969179da27ull);
+  // The optional and list fields mixed_spec leaves empty.
+  spec.scenarios[1].trials[2].warmup_cycles = 500;
+  spec.scenarios[1].trials[2].exercise_recovery = true;
+  spec.scenarios[1].trials[2].trace_links = {"tmu.in", "mem.in"};
+  EXPECT_EQ(spec.hash(), 0x381934d1034e02deull);
 }
 
 TEST_F(CampaignRemote, SliceRejectsCorruption) {

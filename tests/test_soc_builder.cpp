@@ -405,6 +405,30 @@ TEST(SocDescJson, HashDistinguishesTopologies) {
   EXPECT_EQ(soc::grid_desc(8, 6, 2).hash(), soc::grid_desc(8, 6, 2).hash());
 }
 
+// The canonical bytes themselves, not just their self-consistency: a
+// reordered field, a changed number format or a lost terminator passes
+// every round-trip test but moves these FNV-1a values (and with them
+// every committed .tmusnap/.axitrace topology fingerprint).
+TEST(SocDescJson, CanonicalDocumentsArePinned) {
+  EXPECT_EQ(soc::ip_testbench_desc().hash(), 0x8b318659eec813c2ull);
+  EXPECT_EQ(soc::cheshire_desc({}).hash(), 0x201b9ee00dd56ca5ull);
+  EXPECT_EQ(soc::hierarchical_desc({}).hash(), 0xd7e2909b39f2a16full);
+  EXPECT_EQ(soc::grid_desc(4, 3, 1).hash(), 0x199203e68de82d03ull);
+  // Every field the shipped topologies leave at its default: probes,
+  // traces, a replay manager, the reference crossbar and scheduler.
+  SocDesc d = soc::ip_testbench_desc();
+  d.xbar_impl = axi::XbarImpl::kMonolithic;
+  d.policy = sim::sched::SchedPolicy::kFullSweep;
+  ManagerDesc replay;
+  replay.name = "replay";
+  replay.kind = soc::ManagerKind::kTraceReplay;
+  replay.trace_path = "in/\"quoted\".axitrace";
+  d.managers.push_back(replay);
+  d.probes.push_back({"p0", "gen.out"});
+  d.traces.push_back({"t0", "tmu.in"});
+  EXPECT_EQ(d.hash(), 0x805abbdf9596b82bull);
+}
+
 TEST(SocDescJson, MalformedDocumentsThrowNamingTheProblem) {
   EXPECT_THROW(SocDesc::from_json("not json"), std::invalid_argument);
   EXPECT_THROW(SocDesc::from_json("{}"), std::invalid_argument);  // schema
@@ -444,6 +468,36 @@ TEST(SocDescJson, MalformedDocumentsThrowNamingTheProblem) {
     EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
               std::string::npos)
         << e.what();
+  }
+  // A duplicated key is named, not resolved to either value.
+  try {
+    SocDesc::from_json(
+        R"({"schema": "tmu-soc-desc-v2", "name": "a", "name": "b"})");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate key \"name\""),
+              std::string::npos)
+        << e.what();
+  }
+  // A hostile many-key object is rejected in about the time it takes to
+  // parse (the key checks are O(n log n)), naming the first unknown key
+  // in document order.
+  {
+    std::string doc = R"({"schema": "tmu-soc-desc-v2")";
+    for (int i = 0; i < 100000; ++i) {
+      doc += ", \"k";
+      doc += std::to_string(i);
+      doc += "\": 0";
+    }
+    doc += "}";
+    try {
+      SocDesc::from_json(doc);
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"k0\""),
+                std::string::npos)
+          << e.what();
+    }
   }
   // A number token must be consumed whole, not read up to the first
   // character strtod stops at.
