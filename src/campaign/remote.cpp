@@ -1,11 +1,14 @@
 #include "campaign/remote.hpp"
 
+#include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <deque>
@@ -492,13 +495,12 @@ ReportSlice ReportSlice::from_json(const std::string& json) {
 ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
                       std::uint64_t end, const ProgressFn& progress,
                       const TrialFn& fn) {
-  const std::vector<TrialSpec> specs =
-      flatten_trials(spec.scenarios, spec.base_seed);
-  if (begin > end || end > specs.size()) {
+  const std::uint64_t total = spec.total_trials();
+  if (begin > end || end > total) {
     throw std::invalid_argument(
         "campaign::remote::run_range: range [" + std::to_string(begin) + ", " +
         std::to_string(end) + ") outside campaign of " +
-        std::to_string(specs.size()) + " trials");
+        std::to_string(total) + " trials");
   }
   ReportSlice s;
   s.spec_hash = spec.hash();
@@ -506,13 +508,23 @@ ReportSlice run_range(const CampaignSpec& spec, std::uint64_t begin,
   s.begin = begin;
   s.end = end;
   s.results.resize(end - begin);
-  for (std::uint64_t i = begin; i < end; ++i) {
-    if (progress) progress(i);
-    TrialResult& out = s.results[i - begin];
-    out = run_captured(fn, specs[i]);
-    // Trace buffers do not ride slices (they are not part of the JSON
-    // report; shipping them would dwarf the results).
-    out.traces.clear();
+  // Only this range's trials are built, one at a time, seeded as
+  // flatten_trials seeds them: by their global index.
+  std::uint64_t first = 0;  // global index of sc.trials[0]
+  for (const Scenario& sc : spec.scenarios) {
+    const std::uint64_t last = first + sc.trials.size();
+    for (std::uint64_t i = std::max(begin, first); i < std::min(end, last);
+         ++i) {
+      if (progress) progress(i);
+      TrialSpec t = sc.trials[i - first];
+      if (t.seed == 0) t.seed = derive_trial_seed(spec.base_seed, i);
+      TrialResult& out = s.results[i - begin];
+      out = run_captured(fn, t);
+      // Trace buffers do not ride slices (they are not part of the JSON
+      // report; shipping them would dwarf the results).
+      out.traces.clear();
+    }
+    first = last;
   }
   if (progress) progress(end);
   return s;
@@ -626,6 +638,8 @@ struct RangeTask {
 /// One live worker process and the files the dispatcher watches.
 struct Child {
   pid_t pid = -1;
+  int pidfd = -1;  ///< readable once the worker exits; -1 if unavailable
+  int status = 0;  ///< wait status, once reaped
   RangeTask task;
   fs::path out;
   fs::path progress;
@@ -633,13 +647,42 @@ struct Child {
   std::uintmax_t last_size = 0;
 };
 
+/// waitpid(c.pid, flags); once the worker is reaped, closes its pidfd.
+bool reap(Child& c, int flags) {
+  if (waitpid(c.pid, &c.status, flags) != c.pid) return false;
+  if (c.pidfd >= 0) close(c.pidfd);
+  c.pidfd = -1;
+  return true;
+}
+
+/// The one owner of the live workers: leaving run() by any path, an
+/// exception included, SIGKILLs and reaps every worker still running
+/// and closes its pidfd, so no process or fd outlives the call.
+struct Running {
+  std::vector<Child> children;
+
+  Running() = default;
+  Running(const Running&) = delete;
+  Running& operator=(const Running&) = delete;
+  ~Running() {
+    for (Child& c : children) {
+      kill(c.pid, SIGKILL);
+      reap(c, 0);
+    }
+  }
+};
+
+/// Splits [0, total) into min(shards, total) contiguous ranges whose
+/// sizes differ by at most one: range k is [total*k/n, total*(k+1)/n).
 std::vector<RangeTask> shard_ranges(std::uint64_t total, unsigned shards) {
   std::vector<RangeTask> out;
   if (total == 0) return out;
-  const std::uint64_t n = std::max<std::uint64_t>(1, shards);
-  const std::uint64_t chunk = (total + n - 1) / n;
-  for (std::uint64_t b = 0; b < total; b += chunk) {
-    out.push_back(RangeTask{b, std::min(total, b + chunk)});
+  const std::uint64_t n = std::min<std::uint64_t>(std::max(1u, shards), total);
+  // total*k/n without overflow: total = q*n + r, and r*k < n*n < 2^64.
+  const std::uint64_t q = total / n, r = total % n;
+  const auto cut = [&](std::uint64_t k) { return q * k + r * k / n; };
+  for (std::uint64_t k = 0; k < n; ++k) {
+    out.push_back(RangeTask{cut(k), cut(k + 1)});
   }
   return out;
 }
@@ -732,7 +775,12 @@ Report Dispatcher::run(const CampaignSpec& spec) {
   const std::uint64_t spec_hash = spec.hash();
 
   std::deque<RangeTask> pending(ranges.begin(), ranges.end());
-  std::vector<Child> running;
+  Running running;
+  // Never more live workers than ranges: with the room reserved, the
+  // push_back that hands a forked worker to its owner cannot throw.
+  running.children.reserve(std::min<std::size_t>(workers_, ranges.size()));
+  std::vector<Child> exited;  // reaped, exit status and slice not judged
+  std::vector<pollfd> fds;
   std::uint64_t seq = 0;  // distinct file names across attempts
 
   // A failed range either re-queues with exponential backoff or, after
@@ -752,12 +800,12 @@ Report Dispatcher::run(const CampaignSpec& spec) {
     pending.push_back(t);
   };
 
-  while (!pending.empty() || !running.empty()) {
+  while (!pending.empty() || !running.children.empty() || !exited.empty()) {
     // Spawn phase: fill free worker slots with ready (backoff-elapsed)
     // ranges. A fork failure degrades that range to in-process.
     const Clock::time_point now = Clock::now();
     for (auto it = pending.begin();
-         it != pending.end() && running.size() < workers_;) {
+         it != pending.end() && running.children.size() < workers_;) {
       if (it->not_before > now) {
         ++it;
         continue;
@@ -777,41 +825,47 @@ Report Dispatcher::run(const CampaignSpec& spec) {
         continue;
       }
       ++stats_.spawned;
+      // Not glibc's pidfd_open(): its header lacks C linkage. Without
+      // pidfds (-1) poll() skips the entry and the worker is reaped on
+      // the next heartbeat check instead.
+      c.pidfd = static_cast<int>(syscall(SYS_pidfd_open, c.pid, 0));
       c.last_progress = Clock::now();
       c.last_size = 0;
-      running.push_back(std::move(c));
+      running.children.push_back(std::move(c));
     }
 
-    // Poll phase: reap exits, validate their slices, enforce the
-    // progress deadline on the rest.
-    for (auto it = running.begin(); it != running.end();) {
-      int status = 0;
-      const pid_t reaped = waitpid(it->pid, &status, WNOHANG);
-      if (reaped == it->pid) {
-        const Child c = std::move(*it);
-        it = running.erase(it);
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          // Exit 0 is a claim, not proof: the slice must parse, pass
-          // its own checksum, and match the range and spec we asked
-          // for. Anything less counts as a corrupt worker.
-          try {
-            ReportSlice s = ReportSlice::from_json(read_file(c.out));
-            if (s.begin != c.task.begin || s.end != c.task.end) {
-              throw std::invalid_argument("slice range mismatch");
-            }
-            if (s.spec_hash != spec_hash) {
-              throw std::invalid_argument("slice spec mismatch");
-            }
-            slices.push_back(std::move(s));
-            continue;
-          } catch (const std::exception&) {
-            ++stats_.corrupt;
-            requeue(c.task);
-            continue;
-          }
-        }
+    // Judge phase: the workers reaped last pass, now that their slots
+    // are refilled. Exit 0 is a claim, not proof: the slice must parse,
+    // pass its own checksum, and match the range and spec we asked for.
+    // Anything less counts as a corrupt worker.
+    for (const Child& c : exited) {
+      if (!WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0) {
         ++stats_.crashed;
         requeue(c.task);
+        continue;
+      }
+      try {
+        ReportSlice s = ReportSlice::from_json(read_file(c.out));
+        if (s.begin != c.task.begin || s.end != c.task.end) {
+          throw std::invalid_argument("slice range mismatch");
+        }
+        if (s.spec_hash != spec_hash) {
+          throw std::invalid_argument("slice spec mismatch");
+        }
+        slices.push_back(std::move(s));
+      } catch (const std::exception&) {
+        ++stats_.corrupt;
+        requeue(c.task);
+      }
+    }
+    exited.clear();
+
+    // Reap phase: collect exits and enforce the progress deadline on
+    // the rest. A reap goes straight back to the spawn phase.
+    for (auto it = running.children.begin(); it != running.children.end();) {
+      if (reap(*it, WNOHANG)) {
+        exited.push_back(std::move(*it));
+        it = running.children.erase(it);
         continue;
       }
       // Still running: progress is the worker's heartbeat — the file
@@ -827,20 +881,42 @@ Report Dispatcher::run(const CampaignSpec& spec) {
       if (poll_now - it->last_progress >
           std::chrono::milliseconds(opts_.deadline_ms)) {
         kill(it->pid, SIGKILL);
-        waitpid(it->pid, &status, 0);
+        reap(*it, 0);
         ++stats_.hung;
-        const Child c = std::move(*it);
-        it = running.erase(it);
-        requeue(c.task);
+        const RangeTask t = it->task;
+        it = running.children.erase(it);
+        requeue(t);
         continue;
       }
       ++it;
     }
+    if (!exited.empty()) continue;
 
-    if (!pending.empty() || !running.empty()) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(opts_.poll_interval_ms));
+    // Wait phase: block until a worker exits (its pidfd turns
+    // readable), the next heartbeat check is due, or a backed-off range
+    // may take a free slot, whichever comes first. -1 = nothing left.
+    std::int64_t wait_ms =
+        running.children.empty()
+            ? -1
+            : static_cast<std::int64_t>(
+                  std::min<std::uint64_t>(opts_.poll_interval_ms, INT_MAX));
+    if (running.children.size() < workers_) {
+      const Clock::time_point wait_now = Clock::now();
+      for (const RangeTask& t : pending) {
+        const std::int64_t until = std::max<std::int64_t>(
+            0, std::chrono::ceil<std::chrono::milliseconds>(t.not_before -
+                                                           wait_now)
+                   .count());
+        wait_ms = wait_ms < 0 ? until : std::min(wait_ms, until);
+      }
     }
+    if (wait_ms < 0) continue;
+    fds.clear();
+    for (const Child& c : running.children) {
+      fds.push_back(pollfd{c.pidfd, POLLIN, 0});
+    }
+    poll(fds.data(), fds.size(),
+         static_cast<int>(std::min<std::int64_t>(wait_ms, INT_MAX)));
   }
 
   return merge_slices(spec, slices);

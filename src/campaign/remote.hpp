@@ -128,6 +128,10 @@ struct DispatcherOptions {
   /// A worker that makes no progress (its progress file stops growing)
   /// for this long is killed and its range re-issued.
   std::uint64_t deadline_ms = 30000;
+  /// Heartbeat/deadline check cadence. Worker exits do not wait for it:
+  /// the dispatcher wakes on each exit (pidfd) and refills the slot at
+  /// once; only on a kernel without pidfds is an exit noticed at the
+  /// next check.
   std::uint64_t poll_interval_ms = 20;
   /// Re-issues per range before degrading to in-process execution. The
   /// dispatcher never aborts the campaign on worker failure: a range

@@ -6,13 +6,17 @@
 // crash, hang and emit garbage mid-campaign (TMU_WORKER_FAIL).
 
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -489,6 +493,17 @@ CampaignSpec dispatcher_spec() {
 
 std::string worker_bin() { return TMU_CAMPAIGN_WORKER_BIN; }
 
+/// Open descriptors of this process, to show a dispatcher run closes
+/// every pidfd, slice and progress file it opened.
+std::ptrdiff_t open_fd_count() {
+  using std::filesystem::directory_iterator;
+  return std::distance(directory_iterator("/proc/self/fd"),
+                       directory_iterator{});
+}
+
+/// No child of this process is left, running or unreaped.
+bool no_children_left() { return waitpid(-1, nullptr, WNOHANG) == -1; }
+
 TEST_F(CampaignRemote, DispatcherInProcessFallbackMatchesEngine) {
   const CampaignSpec spec = dispatcher_spec();
   const std::string expected =
@@ -512,7 +527,10 @@ TEST_F(CampaignRemote, DispatcherRunsRealWorkersByteIdentical) {
   opts.workers = 4;
   opts.poll_interval_ms = 5;
   Dispatcher d(opts);
+  const std::ptrdiff_t fds = open_fd_count();
   EXPECT_EQ(d.run(spec).to_json(), expected);
+  EXPECT_EQ(open_fd_count(), fds);
+  EXPECT_TRUE(no_children_left());
   EXPECT_GE(d.stats().spawned, 4u);
   EXPECT_EQ(d.stats().crashed, 0u);
   EXPECT_EQ(d.stats().hung, 0u);
@@ -545,7 +563,10 @@ TEST_F(CampaignRemote, DispatcherSurvivesCrashHangAndCorruptWorkers) {
   opts.deadline_ms = 1500;  // reap the hung worker quickly
   opts.retry_backoff_ms = 10;
   Dispatcher d(opts);
+  const std::ptrdiff_t fds = open_fd_count();
   const campaign::Report rep = d.run(spec);
+  EXPECT_EQ(open_fd_count(), fds);
+  EXPECT_TRUE(no_children_left());
   EXPECT_EQ(rep.to_json(), expected);
   EXPECT_GE(d.stats().crashed, 1u);
   EXPECT_GE(d.stats().hung, 1u);
@@ -556,6 +577,49 @@ TEST_F(CampaignRemote, DispatcherSurvivesCrashHangAndCorruptWorkers) {
   for (int i = 0; i < 3; ++i) {
     std::filesystem::remove(token + "." + std::to_string(i));
   }
+}
+
+TEST_F(CampaignRemote, DispatcherWakesOnWorkerExit) {
+  // A 2 s heartbeat cadence: a dispatcher that slept out a poll tick
+  // after each reap would need >= 6 s for these two waves of workers.
+  // Woken by the workers' pidfds, it finishes when they do.
+  ASSERT_FALSE(worker_bin().empty());
+  const long self = syscall(SYS_pidfd_open, ::getpid(), 0);
+  if (self < 0) GTEST_SKIP() << "kernel without pidfd_open";
+  ::close(static_cast<int>(self));
+  const CampaignSpec spec = dispatcher_spec();  // 16 trials
+  const std::string expected =
+      campaign::Engine({1, spec.base_seed}).run(spec.scenarios).to_json();
+  DispatcherOptions opts;
+  opts.worker_binary = worker_bin();
+  opts.workers = 2;
+  opts.shards = 4;
+  opts.poll_interval_ms = 2000;
+  Dispatcher d(opts);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string got = d.run(spec).to_json();
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(got, expected);
+  EXPECT_LT(wall.count(), 1.5);
+  EXPECT_EQ(d.stats().spawned, 4u);
+}
+
+TEST_F(CampaignRemote, DispatcherGivesEveryShardARange) {
+  // 16 trials over 5 shards split 3,3,3,3,4: all five worker slots
+  // get a range (a ceil(16/5) chunking would make four).
+  ASSERT_FALSE(worker_bin().empty());
+  const CampaignSpec spec = dispatcher_spec();
+  const std::string expected =
+      campaign::Engine({1, spec.base_seed}).run(spec.scenarios).to_json();
+  DispatcherOptions opts;
+  opts.worker_binary = worker_bin();
+  opts.workers = 5;
+  opts.shards = 5;
+  opts.poll_interval_ms = 5;
+  Dispatcher d(opts);
+  EXPECT_EQ(d.run(spec).to_json(), expected);
+  EXPECT_EQ(d.stats().spawned, 5u);
 }
 
 TEST_F(CampaignRemote, DispatcherDegradesToInProcessOnPersistentFailure) {
